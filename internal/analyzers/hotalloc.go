@@ -35,7 +35,9 @@ import (
 //   - variadic calls (the argument slice is constructed per call) and
 //     any call into the fmt package,
 //   - function literals that capture enclosing variables (the closure
-//     and its captures move to the heap).
+//     and its captures move to the heap), and bound method values
+//     (x.M used as a value, not called) that escape the frame: each
+//     evaluation builds a fresh closure over the receiver.
 //
 // Code under `if cond { ... }` where cond is a compile-time false
 // constant (the invariant.Enabled pattern) is dead in default builds
@@ -236,6 +238,11 @@ func (sc *allocScanner) scan() {
 			sc.scanConcat(n)
 		case *ast.FuncLit:
 			sc.scanFuncLit(n)
+		case *ast.SelectorExpr:
+			if sel := sc.info.Selections[n]; sel != nil && sel.Kind() == types.MethodVal && sc.escapes(n) {
+				sc.flag(n, "method value %s escapes the frame and allocates a closure over its receiver",
+					types.ExprString(n))
+			}
 		case *ast.AssignStmt:
 			sc.scanAssignBoxing(n)
 		}

@@ -192,3 +192,53 @@ func BoxArg(v float64) {
 }
 
 func sinkIface(v any) { _ = v }
+
+// Ledger mimics the accounting interface the client's tick feeds a
+// predicate to.
+type Ledger interface {
+	Update(now float64, eligible func(p int) bool)
+}
+
+// Client binds one of its methods as a predicate.
+type Client struct {
+	acct    Ledger
+	eligFn  func(p int) bool
+	serving []bool
+}
+
+func (c *Client) eligible(p int) bool { return c.serving[p] }
+
+// Tick passes a bound method value: every evaluation of c.eligible
+// builds a closure over c that escapes into the callee.
+//
+//bce:hotpath
+func (c *Client) Tick(now float64) {
+	c.acct.Update(now, c.eligible) // want `method value c\.eligible escapes the frame and allocates a closure`
+}
+
+// TickBound passes the value bound once at construction: no closure
+// is built per call. Calling a method directly, or through a local
+// method value that never leaves the frame, is allocation-free too.
+//
+//bce:hotpath
+func (c *Client) TickBound(now float64) bool {
+	c.acct.Update(now, c.eligFn)
+	f := c.eligible
+	return f(0) && c.eligible(1)
+}
+
+// Bind stores a method value into the receiver: escapes (flagged here
+// only because it is annotated; in real code this runs once in New).
+//
+//bce:hotpath
+func (c *Client) Bind() {
+	c.eligFn = c.eligible // want `method value c\.eligible escapes the frame`
+}
+
+// MethodExpr uses a method expression, a static function value: no
+// receiver is captured, so nothing is allocated.
+//
+//bce:hotpath
+func MethodExpr(c *Client) func(*Client, int) bool {
+	return (*Client).eligible
+}

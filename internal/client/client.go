@@ -165,6 +165,7 @@ type Client struct {
 	enforcer         sched.Enforcer
 	tickFn           func()
 	prioFn           func(p int, t host.ProcType) float64 // c.acct.PrioSched, bound once
+	accrueFn         func(p int, t host.ProcType) bool    // c.accruesShare, bound once
 	runScratch       []*job.Task
 	completedScratch []*job.Task
 
@@ -248,6 +249,7 @@ func New(cfg Config) (*Client, error) {
 		c.acct = account.NewLocalDebt(c.shares, c.hw)
 	}
 	c.prioFn = c.acct.PrioSched
+	c.accrueFn = c.accruesShare
 	c.rec = metrics.New(c.hw, c.shares, 0)
 	if cfg.MonotonyWindow > 0 {
 		c.rec.SetWindow(cfg.MonotonyWindow)
@@ -727,7 +729,7 @@ func (c *Client) tick() {
 		return
 	}
 	now := c.sim.Now()
-	c.acct.Update(now, c.accruesShare)
+	c.acct.Update(now, c.accrueFn)
 	rr := c.runRRSim()
 
 	dec := c.enforcer.Enforce(sched.Input{

@@ -10,11 +10,13 @@ package rrsim
 // measurable next to BenchmarkRRSim.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"bce/internal/host"
+	"bce/internal/invariant"
 )
 
 // referenceAllocate is the frozen pre-Simulator allocate.
@@ -297,43 +299,148 @@ func randomWorkload(rng *rand.Rand) (Input, []*Job, []*Job) {
 	return in, a, b
 }
 
+// deepWorkload builds a job-heavy queue (500–800 jobs, 2–4 projects)
+// in the shape the client's deep-queue hosts produce, plus the same
+// deep copy randomWorkload returns. One project gets a large share
+// but only a few jobs, so as they finish it goes from uncapped (its
+// fair share below its demand) to capped and then empty, forcing the
+// per-type allocation to be recomputed mid-run; the others keep the
+// allocation uniform for long stretches. Remaining times come from a
+// coarse grid, so completions often coincide. fractional mixes
+// non-integral Instances into every group, which then take the
+// ordered-rescan path instead of the exact one.
+func deepWorkload(rng *rand.Rand, fractional bool) (Input, []*Job, []*Job) {
+	nproj := 2 + rng.Intn(3)
+	shares := make([]float64, nproj)
+	for p := range shares {
+		shares[p] = float64(1 + rng.Intn(3))
+	}
+	small := rng.Intn(nproj)
+	shares[small] = float64(3 * nproj)
+	hw := &host.Hardware{}
+	hw.Proc[host.CPU] = host.Resource{Count: 4 + rng.Intn(5), FLOPSPerInst: 1e9}
+	if rng.Intn(2) == 0 {
+		hw.Proc[host.NvidiaGPU] = host.Resource{Count: 1 + rng.Intn(2), FLOPSPerInst: 1e11}
+	}
+	now := float64(rng.Intn(1000)) * 60
+	in := Input{
+		Now:            now,
+		Hardware:       hw,
+		Shares:         shares,
+		HorizonMin:     3600,
+		HorizonMax:     86400,
+		DeadlineMargin: 120,
+	}
+	njobs := 500 + rng.Intn(301)
+	a := make([]*Job, njobs)
+	b := make([]*Job, njobs)
+	smallLeft := 4 + rng.Intn(12)
+	for i := range a {
+		p := rng.Intn(nproj)
+		for p == small && smallLeft == 0 {
+			p = rng.Intn(nproj)
+		}
+		if p == small {
+			smallLeft--
+		}
+		j := Job{
+			Project:   p,
+			Type:      host.CPU,
+			Instances: 1,
+			Remaining: float64(600 * (1 + rng.Intn(8))),
+			Deadline:  now + float64(rng.Intn(48))*3600,
+		}
+		if hw.Proc[host.NvidiaGPU].Count > 0 && rng.Intn(6) == 0 {
+			j.Type = host.NvidiaGPU
+		}
+		if fractional && rng.Intn(3) == 0 {
+			j.Instances = float64(1+rng.Intn(8)) / 4
+		}
+		cp := j
+		a[i] = &j
+		b[i] = &cp
+	}
+	in.Jobs = a
+	return in, a, b
+}
+
+// compareRun runs the reference on jobsRef and sim on jobsNew and
+// requires bit-identical outputs.
+func compareRun(t *testing.T, sim *Simulator, label string, in Input, jobsNew, jobsRef []*Job) {
+	t.Helper()
+	in.Jobs = jobsRef
+	want := referenceRun(in)
+	in.Jobs = jobsNew
+	got := sim.Run(in)
+
+	if got.ShortfallMin != want.ShortfallMin || got.ShortfallMax != want.ShortfallMax ||
+		got.Saturated != want.Saturated || got.IdleNow != want.IdleNow ||
+		got.NumEndangered != want.NumEndangered {
+		t.Fatalf("%s: Result mismatch\n got %+v\nwant %+v", label, got, want)
+	}
+	if len(got.Trace) != len(want.Trace) {
+		t.Fatalf("%s: trace length %d != %d", label, len(got.Trace), len(want.Trace))
+	}
+	for i := range got.Trace {
+		if got.Trace[i] != want.Trace[i] {
+			t.Fatalf("%s: trace step %d: got %+v want %+v", label, i, got.Trace[i], want.Trace[i])
+		}
+	}
+	for i := range jobsNew {
+		g, w := jobsNew[i], jobsRef[i]
+		// Compare bit patterns so +Inf == +Inf and the test would
+		// catch a NaN regression too.
+		if math.Float64bits(g.ProjectedFinish) != math.Float64bits(w.ProjectedFinish) ||
+			g.Endangered != w.Endangered {
+			t.Fatalf("%s job %d: got finish=%v endangered=%v, want finish=%v endangered=%v",
+				label, i, g.ProjectedFinish, g.Endangered, w.ProjectedFinish, w.Endangered)
+		}
+	}
+}
+
 // TestGoldenCompare checks that the Simulator produces bit-identical
 // results to the frozen reference implementation on seeded random
 // workloads — every Result field and every per-job output, compared
-// with ==, no tolerance.
+// with ==, no tolerance. One Simulator serves every case, and the
+// deep-queue families are interleaved with small random workloads, so
+// scratch sized by a large run is reused (and must be reset) by small
+// ones and vice versa.
 func TestGoldenCompare(t *testing.T) {
 	sim := New() // reused across cases to exercise scratch-buffer reuse
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		in, jobsNew, jobsRef := randomWorkload(rng)
+		compareRun(t, sim, fmt.Sprintf("seed %d", seed), in, jobsNew, jobsRef)
+	}
+	n := 24
+	if testing.Short() {
+		n = 6
+	}
+	for seed := int64(0); seed < int64(n); seed++ {
+		rng := rand.New(rand.NewSource(1000 + seed))
+		fractional := seed%2 == 1
+		in, jobsNew, jobsRef := deepWorkload(rng, fractional)
+		compareRun(t, sim, fmt.Sprintf("deep seed %d (fractional %v)", seed, fractional), in, jobsNew, jobsRef)
+		in, jobsNew, jobsRef = randomWorkload(rng)
+		compareRun(t, sim, fmt.Sprintf("deep seed %d, small follow-up", seed), in, jobsNew, jobsRef)
+	}
+}
 
-		in.Jobs = jobsRef
-		want := referenceRun(in)
-		in.Jobs = jobsNew
-		got := sim.Run(in)
-
-		if got.ShortfallMin != want.ShortfallMin || got.ShortfallMax != want.ShortfallMax ||
-			got.Saturated != want.Saturated || got.IdleNow != want.IdleNow ||
-			got.NumEndangered != want.NumEndangered {
-			t.Fatalf("seed %d: Result mismatch\n got %+v\nwant %+v", seed, got, want)
-		}
-		if len(got.Trace) != len(want.Trace) {
-			t.Fatalf("seed %d: trace length %d != %d", seed, len(got.Trace), len(want.Trace))
-		}
-		for i := range got.Trace {
-			if got.Trace[i] != want.Trace[i] {
-				t.Fatalf("seed %d: trace step %d: got %+v want %+v", seed, i, got.Trace[i], want.Trace[i])
-			}
-		}
-		for i := range jobsNew {
-			g, w := jobsNew[i], jobsRef[i]
-			// Compare bit patterns so +Inf == +Inf and the test would
-			// catch a NaN regression too.
-			if math.Float64bits(g.ProjectedFinish) != math.Float64bits(w.ProjectedFinish) ||
-				g.Endangered != w.Endangered {
-				t.Fatalf("seed %d job %d: got finish=%v endangered=%v, want finish=%v endangered=%v",
-					seed, i, g.ProjectedFinish, g.Endangered, w.ProjectedFinish, w.Endangered)
-			}
+// TestRunIntoSteadyStateAllocFree pins the kernel's allocation
+// contract: once a Simulator has seen a workload's size, RunInto on a
+// reused Result allocates nothing, on an exact and on a fractional
+// deep queue alike.
+func TestRunIntoSteadyStateAllocFree(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("invariant checks format their arguments")
+	}
+	for _, fractional := range []bool{false, true} {
+		in, _, _ := deepWorkload(rand.New(rand.NewSource(5)), fractional)
+		sim := New()
+		var res Result
+		sim.RunInto(&res, in)
+		if allocs := testing.AllocsPerRun(10, func() { sim.RunInto(&res, in) }); allocs != 0 {
+			t.Fatalf("fractional %v: steady-state RunInto made %v allocations, want 0", fractional, allocs)
 		}
 	}
 }

@@ -111,14 +111,25 @@ const maxSteps = 100000
 // concurrent use; each goroutine (each emulated client) keeps its own.
 type Simulator struct {
 	rem    []float64 // per-job remaining instance-seconds
-	alloc  []float64 // allocate() output
 	active []bool    // allocate() progressive-filling state
+
+	// alloc[t] is type t's latest allocate() output. uniform[t] marks
+	// an allocation that ended in its first round with nothing capped:
+	// every active project then got exactly total·w/wsum, a value that
+	// depends only on the active set, so it stays bit-identical while
+	// each changed group keeps fair < demand − 1e-12 (see RunInto).
+	alloc   [host.NumProcTypes][]float64
+	uniform [host.NumProcTypes]bool
 
 	// groups[t][p] holds the indices of unfinished type-t jobs of
 	// project p in arrival order, so the seating loop visits exactly
 	// the jobs it concerns instead of scanning the whole queue once
-	// per project. Jobs leave their group as they complete.
-	groups [host.NumProcTypes][][]int32
+	// per project. Jobs leave their group as they complete; an exact
+	// group drops a finished job by shifting its seated prefix right
+	// and re-slicing past the front, so groupBase[t][p] keeps the full
+	// backing array for the next Run to reset to.
+	groups    [host.NumProcTypes][][]int32
+	groupBase [host.NumProcTypes][][]int32
 
 	// demand[t][p] caches group (t,p)'s unfinished instance demand.
 	// Demand only changes when a member job finishes, so instead of
@@ -140,7 +151,13 @@ type Simulator struct {
 	// and their drain rates. Rates depend only on the type's group
 	// membership and allocation — not on remaining work — so the list
 	// stays valid until a type-t group goes dirty and is rebuilt then.
-	seats [host.NumProcTypes][]seat
+	// Seats are contiguous per project, in project order: project p's
+	// are seats[t][segs[t][p]:segs[t][p+1]]. While the type's
+	// allocation stays uniform, a dirty group re-seats only its own
+	// segment, spliced in through segTmp.
+	seats  [host.NumProcTypes][]seat
+	segs   [host.NumProcTypes][]int32
+	segTmp []seat
 }
 
 // groupKey names one (type, project) job group.
@@ -226,9 +243,10 @@ func (s *Simulator) RunInto(res *Result, in Input) {
 	for t := range s.groups {
 		for len(s.groups[t]) < nproj {
 			s.groups[t] = append(s.groups[t], nil)
+			s.groupBase[t] = append(s.groupBase[t], nil)
 		}
 		for p := 0; p < nproj; p++ {
-			s.groups[t][p] = s.groups[t][p][:0]
+			s.groupBase[t][p] = s.groupBase[t][p][:0]
 		}
 	}
 	// Demand accumulates during the same scan, job by job in arrival
@@ -254,13 +272,16 @@ func (s *Simulator) RunInto(res *Result, in Input) {
 	for i, j := range in.Jobs {
 		if rem[i] > 0 && j.Project >= 0 && j.Project < nproj &&
 			j.Type >= 0 && j.Type < host.NumProcTypes {
-			s.groups[j.Type][j.Project] = append(s.groups[j.Type][j.Project], int32(i))
+			s.groupBase[j.Type][j.Project] = append(s.groupBase[j.Type][j.Project], int32(i))
 			s.demand[j.Type][j.Project] += j.Instances
 			if s.demand[j.Type][j.Project] >= 1<<52 ||
 				(j.Instances != 1 && j.Instances != math.Trunc(j.Instances)) {
 				s.exact[j.Type][j.Project] = false
 			}
 		}
+	}
+	for t := range s.groups {
+		copy(s.groups[t][:nproj], s.groupBase[t][:nproj])
 	}
 
 	satOpen := [host.NumProcTypes]bool{}
@@ -275,6 +296,7 @@ func (s *Simulator) RunInto(res *Result, in Input) {
 	var seatsStale [host.NumProcTypes]bool
 	for t := range seatsStale {
 		seatsStale[t] = true
+		s.uniform[t] = false
 		s.seats[t] = s.seats[t][:0]
 	}
 
@@ -289,6 +311,14 @@ func (s *Simulator) RunInto(res *Result, in Input) {
 		// in arrival order, exactly the scan the per-step recompute
 		// used before demands were cached, so every bit of the float64
 		// matches.
+		//
+		// A uniform allocation survives the change when the group's
+		// share still falls short of its new demand: allocate would
+		// see the same active set (so the same wsum) and cap nothing
+		// in its first round, granting every project the same fair
+		// share bit for bit, and every other group's seats are as they
+		// were — so only this group's segment is re-seated. Otherwise
+		// the type re-allocates and re-seats in full.
 		for _, k := range s.dirty {
 			if !s.exact[k.t][k.p] {
 				g := s.groups[k.t][k.p]
@@ -303,7 +333,15 @@ func (s *Simulator) RunInto(res *Result, in Input) {
 				s.groups[k.t][k.p] = kept
 				s.demand[k.t][k.p] = d
 			}
-			seatsStale[k.t] = true
+			if s.uniform[k.t] {
+				fair := s.alloc[k.t][k.p]
+				s.uniform[k.t] = fair > 0 && fair < s.demand[k.t][k.p]-1e-12
+			}
+			if s.uniform[k.t] && !seatsStale[k.t] {
+				s.reseatGroup(k.t, int(k.p), rem, in.Jobs, in.OnFrac[k.t])
+			} else {
+				seatsStale[k.t] = true
+			}
 		}
 		s.dirty = s.dirty[:0]
 
@@ -318,39 +356,23 @@ func (s *Simulator) RunInto(res *Result, in Input) {
 			}
 			seatsStale[t] = false
 			groups := s.groups[t]
-			alloc := s.allocate(s.demand[t], in.Shares, n)
+			if !s.uniform[t] {
+				s.allocate(t, s.demand[t], in.Shares, n)
+			}
+			alloc := s.alloc[t]
 			busy[t] = 0
 			seats := s.seats[t][:0]
+			segs := s.segs[t][:0]
 			for p, a := range alloc {
 				busy[t] += a
-				if a <= 0 {
-					continue
-				}
-				// Seat the project's jobs into its allocated instances
-				// in arrival order; jobs beyond the allocation wait.
-				// Seating deliberately ignores which job happens to be
-				// running right now: a state-dependent seating makes
-				// the endangered classification self-invalidating (the
-				// job the scheduler promotes immediately looks safe and
-				// is demoted again), causing preemption thrash.
-				for _, i := range groups[p] {
-					if a <= 1e-12 {
-						break
-					}
-					if rem[i] <= 0 {
-						continue
-					}
-					// min(Instances, a) by compare: both are strictly
-					// positive here, where math.Min is exact anyway.
-					r := in.Jobs[i].Instances
-					if a < r {
-						r = a
-					}
-					a -= r
-					seats = append(seats, seat{job: i, rate: r * in.OnFrac[t]})
+				segs = append(segs, int32(len(seats)))
+				if a > 0 {
+					seats = seatGroup(seats, groups[p], a, rem, in.Jobs, in.OnFrac[t])
 				}
 			}
-			s.seats[t] = seats
+			segs = append(segs, int32(len(seats)))
+			s.seats[t] = seats //bce:retainok seats hold job indices and rates, no reference into in.Jobs
+			s.segs[t] = segs
 			if invariant.Enabled {
 				// Progressive filling may never seat more instances than
 				// the device has: alloc caps at demand and sum(alloc) at
@@ -454,19 +476,25 @@ func (s *Simulator) RunInto(res *Result, in Input) {
 					// groups update in place — drop the job (keeping
 					// arrival order) and subtract its demand, which
 					// for integral values matches the ordered rescan
-					// bit for bit. Others defer to the dirty sweep at
+					// bit for bit. A finished job was seated, so it
+					// sits among the group's first few entries:
+					// shifting that prefix right one slot and
+					// re-slicing past the front costs O(seated), not
+					// O(group). Others defer to the dirty sweep at
 					// the top of the next step, which drops finished
 					// members and re-sums in one pass. Either way the
-					// group is marked dirty so its type re-seats;
-					// seats within a type are contiguous per project,
+					// group is marked dirty so it re-seats (its type
+					// re-seats in full unless the allocation memo
+					// holds); seats within a type are contiguous per
+					// project,
 					// so consecutive same-group finishes dedup against
 					// the last entry.
 					if s.exact[j.Type][j.Project] {
 						g := s.groups[j.Type][j.Project]
 						for k, gi := range g {
 							if gi == i {
-								copy(g[k:], g[k+1:])
-								s.groups[j.Type][j.Project] = g[:len(g)-1]
+								copy(g[1:k+1], g[:k])
+								s.groups[j.Type][j.Project] = g[1:]
 								break
 							}
 						}
@@ -495,23 +523,82 @@ func (s *Simulator) RunInto(res *Result, in Input) {
 	}
 }
 
-// allocate distributes `total` capacity among demands in proportion to
-// weights, capping each at its demand and redistributing the excess
-// (progressive filling). The returned slice satisfies alloc[i] <=
-// demand[i], sum(alloc) <= total, and sum(alloc) == min(total,
-// sum(demand)) up to round-off. It is valid until the next call.
+// seatGroup appends the seats of one project's jobs g, granted a
+// instances in total, to seats. Jobs are seated into the allocation in
+// arrival order; jobs beyond it wait. Seating deliberately ignores
+// which job happens to be running right now: a state-dependent seating
+// makes the endangered classification self-invalidating (the job the
+// scheduler promotes immediately looks safe and is demoted again),
+// causing preemption thrash.
+//
+//bce:hotpath
+func seatGroup(seats []seat, g []int32, a float64, rem []float64, jobs []*Job, onFrac float64) []seat {
+	for _, i := range g {
+		if a <= 1e-12 {
+			break
+		}
+		if invariant.Enabled {
+			// Groups hold only unfinished jobs at seating time: exact
+			// groups drop a job as it finishes, the rest are swept
+			// before the next step seats.
+			invariant.Check(rem[i] > 0, "rrsim: finished job %d still grouped", i)
+		}
+		// min(Instances, a) by compare: both are strictly positive
+		// here, where math.Min is exact anyway.
+		r := jobs[i].Instances
+		if a < r {
+			r = a
+		}
+		a -= r
+		seats = append(seats, seat{job: i, rate: r * onFrac})
+	}
+	return seats
+}
+
+// reseatGroup rebuilds project p's segment of type t's seating from its
+// current group and unchanged allocation, splicing it in place of the
+// old one: the result equals a full re-seat, whose other segments
+// would come out unchanged.
+//
+//bce:hotpath
+func (s *Simulator) reseatGroup(t host.ProcType, p int, rem []float64, jobs []*Job, onFrac float64) {
+	s.segTmp = seatGroup(s.segTmp[:0], s.groups[t][p], s.alloc[t][p], rem, jobs, onFrac)
+	seats, segs := s.seats[t], s.segs[t]
+	from, to := int(segs[p]), int(segs[p+1])
+	if delta := len(s.segTmp) - (to - from); delta != 0 {
+		old := len(seats)
+		for len(seats) < old+delta {
+			seats = append(seats, seat{})
+		}
+		copy(seats[to+delta:], seats[to:old])
+		seats = seats[:old+delta]
+		for q := p + 1; q < len(segs); q++ {
+			segs[q] += int32(delta)
+		}
+		s.seats[t] = seats
+	}
+	copy(seats[from:], s.segTmp)
+}
+
+// allocate distributes `total` capacity of type t among demands in
+// proportion to weights, capping each at its demand and redistributing
+// the excess (progressive filling), into s.alloc[t]. The result
+// satisfies alloc[i] <= demand[i], sum(alloc) <= total, and sum(alloc)
+// == min(total, sum(demand)) up to round-off. s.uniform[t] records
+// whether the first round capped nothing (see Simulator.uniform).
 //
 //bce:hotpath
 //bce:scratch
-func (s *Simulator) allocate(demand, weight []float64, total float64) []float64 {
+func (s *Simulator) allocate(t host.ProcType, demand, weight []float64, total float64) {
 	n := len(demand)
-	s.alloc = growFloats(s.alloc, n)
-	alloc := s.alloc
+	s.alloc[t] = growFloats(s.alloc[t], n)
+	alloc := s.alloc[t]
 	for i := range alloc {
 		alloc[i] = 0
 	}
+	s.uniform[t] = false
 	if total <= 0 {
-		return alloc
+		return
 	}
 	if cap(s.active) < n {
 		//bce:allocok amortized grow of a reusable scratch buffer, stops once sized to the workload
@@ -561,9 +648,9 @@ func (s *Simulator) allocate(demand, weight []float64, total float64) []float64 
 				}
 			}
 			remaining = 0
+			s.uniform[t] = iter == 0
 		}
 	}
-	return alloc
 }
 
 // overlap returns the length of the intersection of [a0,a1] and [b0,b1].

@@ -29,9 +29,14 @@ func mixedHost(ncpu, ngpu int) *host.Hardware {
 	return &h.Hardware
 }
 
+// allocateCPU runs allocate for the CPU type and returns its output.
+func (s *Simulator) allocateCPU(demand, weight []float64, total float64) []float64 {
+	s.allocate(host.CPU, demand, weight, total)
+	return s.alloc[host.CPU]
+}
+
 func TestAllocateBasics(t *testing.T) {
-	sim := New()
-	allocate := sim.allocate
+	allocate := New().allocateCPU
 	// Two equal-weight demands that both exceed fair share split evenly.
 	a := allocate([]float64{10, 10}, []float64{1, 1}, 4)
 	if math.Abs(a[0]-2) > 1e-9 || math.Abs(a[1]-2) > 1e-9 {
@@ -66,7 +71,7 @@ func TestAllocateProperties(t *testing.T) {
 			dsum += demand[i]
 		}
 		total := float64(tot) / 10
-		alloc := sim.allocate(demand, weight, total)
+		alloc := sim.allocateCPU(demand, weight, total)
 		var asum float64
 		for i := range alloc {
 			if alloc[i] < -1e-9 || alloc[i] > demand[i]+1e-9 {

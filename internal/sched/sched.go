@@ -144,7 +144,7 @@ func cmpRank(a, b rank) int {
 }
 
 // lessRank is cmpRank as a strict less-than, cheap enough for the
-// insertion sort's inner loop.
+// selection buffer's inner loop.
 func lessRank(a, b rank) bool {
 	if a.class != b.class {
 		return a.class < b.class
@@ -162,13 +162,31 @@ func lessRank(a, b rank) bool {
 // steady-state pass allocates nothing. The zero value is ready to use.
 // Not safe for concurrent use; each emulated client owns one.
 type Enforcer struct {
-	ranks []rank
+	top   [topK]rank // the best ranks, in stable-sorted order
+	ranks []rank     // the whole job list, in queue order until a fallback sorts it
 	run   []*job.Task
 }
+
+// topK is the size of the selection buffer. A scan that saturates the
+// host within it never looks further; real hosts' processor counts,
+// and so the scan's usual depth, are far below it.
+const topK = 32
 
 // Enforce computes the set of tasks to run (paper §3.3's "build an
 // ordered job list, then scan it"). The returned Decision aliases the
 // Enforcer's scratch and is valid until the next call.
+//
+// The scan usually stops within the first few entries of the ordered
+// list, so instead of stable-sorting the whole queue, one pass keeps
+// the topK best ranks in a stable insertion buffer: a new rank moves
+// left only past strictly greater entries, and once the buffer is
+// full a rank not strictly less than its last entry is rejected (its
+// input index is larger, so it would sort after that entry). The
+// buffer is then exactly the stable sort's prefix, so scanning it
+// yields the full sort's Decision whenever the scan stops inside it.
+// Only when the scan exhausts the buffer without saturating, and ranks
+// were dropped (memory or GPU skips, many fractional jobs), is the
+// whole list stable-sorted and re-scanned.
 //
 //bce:hotpath
 //bce:scratch
@@ -176,6 +194,7 @@ func (e *Enforcer) Enforce(in Input) Decision {
 	if cap(e.ranks) < len(in.Tasks) {
 		e.ranks = make([]rank, 0, len(in.Tasks)) //bce:allocok amortized grow of reusable scratch, stops once sized to the queue
 	}
+	top := e.top[:0]
 	ranks := e.ranks[:0]
 	for _, t := range in.Tasks {
 		if t.Finished() || t.State == job.Downloading {
@@ -220,23 +239,39 @@ func (e *Enforcer) Enforce(in Input) Decision {
 			r.key = -in.Prio(t.Project, t.Usage.Type())
 		}
 		ranks = append(ranks, r)
+
+		// Stable insertion into the selection buffer.
+		n := len(top)
+		if n == topK {
+			if !lessRank(r, top[n-1]) {
+				continue
+			}
+			n-- // the last entry falls off
+		} else {
+			top = top[:n+1]
+		}
+		for ; n > 0 && lessRank(r, top[n-1]); n-- {
+			top[n] = top[n-1]
+		}
+		top[n] = r
 	}
 	e.ranks = ranks //bce:retainok ranks alias in.Tasks only until the next Enforce; the Decision contract documents this
 
-	// Stable sort. Any stable sort over the same comparator produces
-	// the same permutation, so the implementation is free to vary by
-	// size: small queues (the common case — one host's active tasks)
-	// use a direct insertion sort, which beats the generic sort's
-	// function-pointer comparisons; large queues fall back to the
-	// O(n log n) generic sort.
-	if len(ranks) <= smallSortMax {
-		insertionSortRanks(ranks)
-	} else {
+	run, saturated := scan(&in, top, e.run[:0])
+	if !saturated && len(ranks) > len(top) {
 		slices.SortStableFunc(ranks, cmpRank)
+		run, _ = scan(&in, ranks, run[:0])
 	}
+	e.run = run //bce:retainok the Decision deliberately aliases scratch holding caller tasks until the next Enforce
+	return Decision{Run: run}
+}
 
-	// Scan: commit device instances and memory in rank order; stop when
-	// everything is saturated.
+// scan commits device instances and memory in rank order, appending
+// the tasks that run to run, and stops when everything is saturated.
+// It reports whether it stopped that way.
+//
+//bce:hotpath
+func scan(in *Input, ranks []rank, run []*job.Task) ([]*job.Task, bool) {
 	var remain [host.NumProcTypes]float64
 	for t := host.ProcType(0); t < host.NumProcTypes; t++ {
 		remain[t] = float64(in.Hardware.Proc[t].Count)
@@ -246,7 +281,6 @@ func (e *Enforcer) Enforce(in Input) Decision {
 		memRemain = in.Hardware.MemBytes
 	}
 
-	run := e.run[:0]
 	const eps = 1e-9
 	for _, r := range ranks {
 		u := r.task.Usage
@@ -274,26 +308,10 @@ func (e *Enforcer) Enforce(in Input) Decision {
 		run = append(run, r.task)
 
 		if saturated(remain, in.Hardware) {
-			break
+			return run, true
 		}
 	}
-	e.run = run //bce:retainok the Decision deliberately aliases scratch holding caller tasks until the next Enforce
-	return Decision{Run: run}
-}
-
-// smallSortMax bounds the insertion-sorted queue size; beyond it the
-// quadratic comparison count overtakes the generic sort's overhead.
-const smallSortMax = 32
-
-// insertionSortRanks stable-sorts ranks in place by lessRank: an
-// element moves left only past strictly greater predecessors, so equal
-// elements keep their input order.
-func insertionSortRanks(r []rank) {
-	for i := 1; i < len(r); i++ {
-		for j := i; j > 0 && lessRank(r[j], r[j-1]); j-- {
-			r[j], r[j-1] = r[j-1], r[j]
-		}
-	}
+	return run, false
 }
 
 // Enforce runs one scheduling pass with throwaway scratch. Hot-path
