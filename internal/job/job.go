@@ -7,6 +7,7 @@ package job
 
 import (
 	"fmt"
+	"math"
 
 	"bce/internal/host"
 	"bce/internal/invariant"
@@ -93,10 +94,21 @@ func (u Usage) PeakFLOPS(hw *host.Hardware) float64 {
 	return f
 }
 
+// DemandsFinite reports whether the CPU, GPU and memory demands are
+// all finite and non-negative (NaN is neither).
+func (u Usage) DemandsFinite() bool {
+	for _, x := range [...]float64{u.AvgCPUs, u.GPUUsage, u.MemBytes} {
+		if !(x >= 0 && x <= math.MaxFloat64) {
+			return false
+		}
+	}
+	return true
+}
+
 // Validate reports structural problems with the usage.
 func (u Usage) Validate() error {
-	if u.AvgCPUs < 0 || u.GPUUsage < 0 {
-		return fmt.Errorf("job: negative device usage %+v", u)
+	if !u.DemandsFinite() {
+		return fmt.Errorf("job: negative or non-finite usage %+v", u)
 	}
 	if u.AvgCPUs == 0 && u.GPUUsage == 0 {
 		return fmt.Errorf("job: uses no devices")

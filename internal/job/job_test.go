@@ -60,13 +60,20 @@ func TestUsageValidate(t *testing.T) {
 		{AvgCPUs: -1},
 		{AvgCPUs: 1, GPUUsage: -0.5, GPUType: host.NvidiaGPU},
 		{GPUUsage: 1, GPUType: host.CPU}, // GPU usage with CPU type
+		{AvgCPUs: math.NaN()},
+		{AvgCPUs: math.Inf(1)},
+		{AvgCPUs: 0.2, GPUUsage: math.NaN(), GPUType: host.NvidiaGPU},
+		{AvgCPUs: 0.2, GPUUsage: math.Inf(1), GPUType: host.NvidiaGPU},
+		{AvgCPUs: 1, MemBytes: -100e6},
+		{AvgCPUs: 1, MemBytes: math.NaN()},
+		{AvgCPUs: 1, MemBytes: math.Inf(1)},
 	}
 	for i, u := range bad {
 		if u.Validate() == nil {
 			t.Fatalf("case %d: Validate accepted %+v", i, u)
 		}
 	}
-	if (Usage{AvgCPUs: 1}).Validate() != nil {
+	if (Usage{AvgCPUs: 1, MemBytes: 2e9}).Validate() != nil {
 		t.Fatal("Validate rejected plain CPU usage")
 	}
 	if (Usage{AvgCPUs: 0.2, GPUType: host.AtiGPU, GPUUsage: 1}).Validate() != nil {

@@ -10,6 +10,7 @@ package project
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"bce/internal/host"
 	"bce/internal/job"
@@ -167,6 +168,19 @@ type Server struct {
 	reachable *flipFlop
 	hasWork   *flipFlop
 
+	// prefix[i] is "<project>_<app>_" for Spec.Apps[i]; a job's name is
+	// its app's prefix followed by its sequence number.
+	prefix []string
+
+	// slab is the chunk new tasks are carved from (see generate).
+	slab []job.Task
+
+	// Per-reply scratch for Dispatch: the accepted tasks, their names
+	// back to back, and where each name ends.
+	out   []*job.Task
+	names []byte
+	ends  []int
+
 	// Dispatched counts jobs sent; Refused counts jobs withheld by the
 	// deadline check.
 	Dispatched int
@@ -220,7 +234,10 @@ func NewServer(spec Spec, index int, rng *stats.RNG) (*Server, error) {
 	if spec.MaxJobsPerRPC <= 0 {
 		spec.MaxJobsPerRPC = 64
 	}
-	s := &Server{Spec: spec, Index: index, rng: rng}
+	s := &Server{Spec: spec, Index: index, rng: rng, prefix: make([]string, len(spec.Apps))}
+	for i, a := range spec.Apps {
+		s.prefix[i] = spec.Name + "_" + a.Name + "_"
+	}
 	s.reachable = newFlipFlop(spec.Downtime, rng.Fork("downtime"))
 	s.hasWork = newFlipFlop(spec.WorkGaps, rng.Fork("workgaps"))
 	return s, nil
@@ -246,8 +263,9 @@ func (s *Server) HasWork(now float64, t host.ProcType) bool {
 	return s.SuppliesType(t) && s.hasWork.stateAt(now)
 }
 
-// pickApp chooses an application supplying type t, weighted by Weight.
-func (s *Server) pickApp(t host.ProcType) *AppSpec {
+// pickApp chooses an application supplying type t, weighted by Weight,
+// and returns its index in Spec.Apps (-1 if none supplies t).
+func (s *Server) pickApp(t host.ProcType) int {
 	var total float64
 	for i := range s.Spec.Apps {
 		if s.Spec.Apps[i].Usage.Type() == t {
@@ -255,7 +273,7 @@ func (s *Server) pickApp(t host.ProcType) *AppSpec {
 		}
 	}
 	if total == 0 {
-		return nil
+		return -1
 	}
 	x := s.rng.Float64() * total
 	for i := range s.Spec.Apps {
@@ -265,20 +283,36 @@ func (s *Server) pickApp(t host.ProcType) *AppSpec {
 		}
 		x -= a.weight()
 		if x <= 0 {
-			return a
+			return i
 		}
 	}
 	// Float round-off: return the last matching app.
 	for i := len(s.Spec.Apps) - 1; i >= 0; i-- {
 		if s.Spec.Apps[i].Usage.Type() == t {
-			return &s.Spec.Apps[i]
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
-// generate creates one task from an app template at dispatch time now.
+// Slab chunk sizes: the first chunk holds slabMin tasks and each next
+// one twice its predecessor, up to slabMax. A chunk stays reachable
+// while any task carved from it is, so the cap bounds what one
+// long-lived task can keep alive.
+const (
+	slabMin = 8
+	slabMax = 256
+)
+
+// generate creates one unnamed task from an app template at dispatch
+// time now, carving it from the server's slab: one allocation per
+// chunk rather than per task. A full chunk is replaced, never grown —
+// appending past its capacity would copy tasks already handed out.
 func (s *Server) generate(a *AppSpec, now float64) *job.Task {
+	if len(s.slab) == cap(s.slab) {
+		s.slab = make([]job.Task, 0, min(max(2*cap(s.slab), slabMin), slabMax)) //bce:allocok one chunk per up to slabMax tasks
+	}
+	s.slab = s.slab[:len(s.slab)+1]
 	s.jobSeq++
 	dur := s.rng.TruncNormal(a.MeanDuration, a.StdevDuration,
 		a.MeanDuration/10, a.MeanDuration*10)
@@ -289,8 +323,8 @@ func (s *Server) generate(a *AppSpec, now float64) *job.Task {
 	if a.EstErrSigma > 0 {
 		est *= s.rng.Lognormal(0, a.EstErrSigma)
 	}
-	return &job.Task{
-		Name:             fmt.Sprintf("%s_%s_%d", s.Spec.Name, a.Name, s.jobSeq),
+	t := &s.slab[len(s.slab)-1]
+	*t = job.Task{
 		Project:          s.Index,
 		Usage:            a.Usage,
 		Duration:         dur,
@@ -301,6 +335,7 @@ func (s *Server) generate(a *AppSpec, now float64) *job.Task {
 		InputBytes:       a.InputBytes,
 		OutputBytes:      a.OutputBytes,
 	}
+	return t
 }
 
 // feasible applies the server deadline-check policy to a candidate.
@@ -322,12 +357,15 @@ func (s *Server) feasible(t *job.Task, bound float64, hi HostInfo) bool {
 // Dispatch answers the work-request portion of a scheduler RPC: it
 // returns jobs covering the requested idle instances and instance-
 // seconds, for each requested type, subject to work availability, the
-// per-RPC cap, and the deadline-check policy.
+// per-RPC cap, and the deadline-check policy. The returned slice is
+// the caller's; the tasks' names share one string per reply.
+//
+//bce:hotpath
 func (s *Server) Dispatch(now float64, reqs []Request, hi HostInfo) []*job.Task {
 	if !s.Reachable(now) {
 		return nil
 	}
-	var out []*job.Task
+	out, names, ends := s.out[:0], s.names[:0], s.ends[:0]
 	for _, req := range reqs {
 		if req.Seconds <= 0 && req.Instances <= 0 {
 			continue
@@ -338,24 +376,44 @@ func (s *Server) Dispatch(now float64, reqs []Request, hi HostInfo) []*job.Task 
 		secs := req.Seconds
 		inst := req.Instances
 		for (secs > 1e-9 || inst > 1e-9) && len(out) < s.Spec.MaxJobsPerRPC {
-			a := s.pickApp(req.Type)
-			if a == nil {
+			ai := s.pickApp(req.Type)
+			if ai < 0 {
 				break
 			}
+			a := &s.Spec.Apps[ai]
 			t := s.generate(a, now)
 			if !s.feasible(t, a.LatencyBound, hi) {
 				s.Refused++
+				// Nothing references the refused candidate: give its
+				// slot back to the slab.
+				s.slab = s.slab[:len(s.slab)-1]
 				// A systematic refusal would loop forever; one refusal
 				// per app per request is representative.
 				break
 			}
+			names = append(names, s.prefix[ai]...)
+			names = strconv.AppendInt(names, int64(s.jobSeq), 10)
+			ends = append(ends, len(names))
 			out = append(out, t)
 			s.Dispatched++
 			secs -= t.EstDuration * t.Usage.Instances()
 			inst -= t.Usage.Instances()
 		}
 	}
-	return out
+	s.out, s.names, s.ends = out, names, ends
+	if len(out) == 0 {
+		return nil
+	}
+	all := string(names) //bce:allocok one string per reply; every name is a slice of it
+	start := 0
+	for i, t := range out {
+		t.Name = all[start:ends[i]]
+		start = ends[i]
+	}
+	res := make([]*job.Task, len(out)) //bce:allocok the reply is the caller's to keep
+	copy(res, out)
+	clear(out) // the scratch must not keep dispatched tasks alive
+	return res
 }
 
 // EstimatedQueueSeconds returns the instance-seconds a set of requests

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -92,6 +93,35 @@ func TestLoadRejectsInvalidScenario(t *testing.T) {
 	_, err := Load(strings.NewReader(`{"name":"x","host":{"ncpu":1,"cpu_gflops":1}}`))
 	if err == nil {
 		t.Fatal("scenario without projects accepted")
+	}
+}
+
+// TestConfigRejectsBadAppUsage checks the input boundary: a negative
+// working set would inflate the scheduler's memory budget, so Config
+// must refuse it like any other bad device usage.
+func TestConfigRejectsBadAppUsage(t *testing.T) {
+	for _, app := range []string{
+		`{"name":"a","ncpus":1,"mem_mb":-100,"mean_secs":100,"latency_secs":1000}`,
+		`{"name":"a","ncpus":-1,"mean_secs":100,"latency_secs":1000}`,
+	} {
+		doc := `{"name":"x","duration_days":1,"host":{"ncpu":2,"cpu_gflops":1},
+			"projects":[{"name":"p","share":1,"apps":[` + app + `]}]}`
+		sc := new(Scenario)
+		if err := json.Unmarshal([]byte(doc), sc); err != nil {
+			t.Fatalf("%s: %v", app, err)
+		}
+		if _, err := sc.Config(); err == nil {
+			t.Fatalf("Config accepted the app %s", app)
+		}
+	}
+	s := sampleScenario()
+	s.Projects[0].Apps[0].MemMB = math.NaN()
+	if _, err := s.Config(); err == nil {
+		t.Fatal("Config accepted a NaN working set")
+	}
+	s.Projects[0].Apps[0].MemMB = 100
+	if _, err := s.Config(); err != nil {
+		t.Fatalf("Config rejected a valid working set: %v", err)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"slices"
 
 	"bce/internal/host"
+	"bce/internal/invariant"
 	"bce/internal/job"
 )
 
@@ -67,7 +68,8 @@ type Input struct {
 	Now float64
 
 	// Tasks is the client's queue: every unfinished task, whatever its
-	// state.
+	// state. Every task's Usage has passed job.Usage.Validate, so its
+	// device and memory demands are finite and non-negative.
 	Tasks []*job.Task
 
 	// Endangered reports the round-robin simulation's deadline verdict
@@ -118,13 +120,15 @@ func (d Decision) Contains(t *job.Task) bool {
 	return false
 }
 
-// rank orders the job list. Lower rank runs earlier in the scan.
+// rank orders the job list. Lower rank runs earlier in the scan. It
+// holds no pointer, so the scratch that stores and sorts ranks costs
+// the garbage collector nothing.
 type rank struct {
-	task       *job.Task
-	class      int     // 0: running un-checkpointed, 1: endangered GPU, 2: GPU, 3: endangered CPU, 4: CPU
 	key        float64 // within a class, ascending: deadline (or laxity) for endangered classes, negated accounting priority otherwise
-	running    bool    // tie-break: prefer already-running (fewer preemptions)
 	receivedAt float64 // final tie-break: FIFO
+	idx        int32   // the task is Input.Tasks[idx]; equal ranks keep this order
+	class      int8    // 0: running un-checkpointed, 1: endangered GPU, 2: GPU, 3: endangered CPU, 4: CPU
+	running    bool    // tie-break: prefer already-running (fewer preemptions)
 }
 
 // cmpRank is the job-list order as a three-way comparison. It is the
@@ -158,12 +162,18 @@ func lessRank(a, b rank) bool {
 	return a.receivedAt < b.receivedAt
 }
 
+// after reports whether b sorts after a in the stable order: past it
+// by the predicate, or tied with it and later in the queue.
+func after(a, b rank) bool {
+	return lessRank(a, b) || !lessRank(b, a) && b.idx > a.idx
+}
+
 // Enforcer runs scheduling passes with reusable scratch storage, so a
 // steady-state pass allocates nothing. The zero value is ready to use.
 // Not safe for concurrent use; each emulated client owns one.
 type Enforcer struct {
 	top   [topK]rank // the best ranks, in stable-sorted order
-	ranks []rank     // the whole job list, in queue order until a fallback sorts it
+	ranks []rank     // the whole job list, in queue order until a fallback reuses it
 	run   []*job.Task
 }
 
@@ -184,9 +194,15 @@ const topK = 32
 // input index is larger, so it would sort after that entry). The
 // buffer is then exactly the stable sort's prefix, so scanning it
 // yields the full sort's Decision whenever the scan stops inside it.
+//
 // Only when the scan exhausts the buffer without saturating, and ranks
-// were dropped (memory or GPU skips, many fractional jobs), is the
-// whole list stable-sorted and re-scanned.
+// were dropped (memory or GPU skips, many fractional jobs), does the
+// pass look further. Capacity and memory only shrink during a scan, so
+// a dropped rank the scan would skip now it would skip at its place
+// in the full order too. The fallback therefore keeps, in place, just
+// the dropped ranks the scan would still take a look at, sorts those
+// and continues the scan from where the buffer left it. That argument
+// needs the finite, non-negative usage Input.Tasks promises.
 //
 //bce:hotpath
 //bce:scratch
@@ -196,7 +212,7 @@ func (e *Enforcer) Enforce(in Input) Decision {
 	}
 	top := e.top[:0]
 	ranks := e.ranks[:0]
-	for _, t := range in.Tasks {
+	for i, t := range in.Tasks {
 		if t.Finished() || t.State == job.Downloading {
 			continue // not runnable until its input files arrive
 		}
@@ -205,7 +221,7 @@ func (e *Enforcer) Enforce(in Input) Decision {
 			continue
 		}
 		r := rank{
-			task:       t,
+			idx:        int32(i),
 			running:    t.State == job.Running,
 			receivedAt: t.ReceivedAt,
 		}
@@ -238,6 +254,10 @@ func (e *Enforcer) Enforce(in Input) Decision {
 		default:
 			r.key = -in.Prio(t.Project, t.Usage.Type())
 		}
+		if invariant.Enabled {
+			invariant.Check(t.Usage.DemandsFinite(),
+				"sched: task %q has unvalidated usage %+v", t.Name, t.Usage)
+		}
 		ranks = append(ranks, r)
 
 		// Stable insertion into the selection buffer.
@@ -255,15 +275,63 @@ func (e *Enforcer) Enforce(in Input) Decision {
 		}
 		top[n] = r
 	}
-	e.ranks = ranks //bce:retainok ranks alias in.Tasks only until the next Enforce; the Decision contract documents this
+	e.ranks = ranks
 
-	run, saturated := scan(&in, top, e.run[:0])
+	sc := newScan(&in)
+	run, saturated := sc.scan(&in, top, e.run[:0])
 	if !saturated && len(ranks) > len(top) {
-		slices.SortStableFunc(ranks, cmpRank)
-		run, _ = scan(&in, ranks, run[:0])
+		// Compact the dropped ranks still worth a look to the front of
+		// ranks; the write index never passes the read index, and
+		// ranks is not read again.
+		last := top[len(top)-1]
+		kept := ranks[:0]
+		for _, r := range ranks {
+			if after(last, r) && sc.fits(&in.Tasks[r.idx].Usage) {
+				kept = append(kept, r)
+			}
+		}
+		slices.SortStableFunc(kept, cmpRank)
+		run, _ = sc.scan(&in, kept, run)
 	}
 	e.run = run //bce:retainok the Decision deliberately aliases scratch holding caller tasks until the next Enforce
 	return Decision{Run: run}
+}
+
+// scanState is what a scan has left to commit: device instances per
+// processor type and memory.
+type scanState struct {
+	remain [host.NumProcTypes]float64
+	mem    float64
+}
+
+func newScan(in *Input) scanState {
+	var s scanState
+	for t := host.ProcType(0); t < host.NumProcTypes; t++ {
+		s.remain[t] = float64(in.Hardware.Proc[t].Count)
+	}
+	s.mem = in.MaxMemBytes
+	if s.mem <= 0 {
+		s.mem = in.Hardware.MemBytes
+	}
+	return s
+}
+
+const scanEps = 1e-9
+
+// fits reports whether a scan in this state takes a job of usage u
+// rather than skipping it. The tests are written as negated skips so
+// that a NaN compares the way it always has.
+func (s *scanState) fits(u *job.Usage) bool {
+	if u.MemBytes > s.mem+scanEps {
+		return false // "jobs are skipped if total memory usage would exceed the limit"
+	}
+	if u.IsGPU() {
+		return !(u.GPUUsage > s.remain[u.GPUType]+scanEps) // "... or if GPUs cannot be allocated"
+	}
+	// A CPU job runs when any CPU capacity remains; its full demand is
+	// committed (slight oversubscription allowed at the margin, as in
+	// BOINC).
+	return !(s.remain[host.CPU] <= scanEps)
 }
 
 // scan commits device instances and memory in rank order, appending
@@ -271,43 +339,23 @@ func (e *Enforcer) Enforce(in Input) Decision {
 // It reports whether it stopped that way.
 //
 //bce:hotpath
-func scan(in *Input, ranks []rank, run []*job.Task) ([]*job.Task, bool) {
-	var remain [host.NumProcTypes]float64
-	for t := host.ProcType(0); t < host.NumProcTypes; t++ {
-		remain[t] = float64(in.Hardware.Proc[t].Count)
-	}
-	memRemain := in.MaxMemBytes
-	if memRemain <= 0 {
-		memRemain = in.Hardware.MemBytes
-	}
-
-	const eps = 1e-9
+func (s *scanState) scan(in *Input, ranks []rank, run []*job.Task) ([]*job.Task, bool) {
 	for _, r := range ranks {
-		u := r.task.Usage
-		if u.MemBytes > memRemain+eps {
-			continue // "jobs are skipped if total memory usage would exceed the limit"
+		t := in.Tasks[r.idx]
+		u := &t.Usage
+		if !s.fits(u) {
+			continue
 		}
 		if u.IsGPU() {
-			if u.GPUUsage > remain[u.GPUType]+eps {
-				continue // "... or if GPUs cannot be allocated"
-			}
 			// GPU jobs may oversubscribe the CPU slightly; their CPU
 			// demand is typically fractional.
-			remain[u.GPUType] -= u.GPUUsage
-			remain[host.CPU] -= u.AvgCPUs
-		} else {
-			if remain[host.CPU] <= eps {
-				continue
-			}
-			// A CPU job runs when any CPU capacity remains; its full
-			// demand is committed (slight oversubscription allowed at
-			// the margin, as in BOINC).
-			remain[host.CPU] -= u.AvgCPUs
+			s.remain[u.GPUType] -= u.GPUUsage
 		}
-		memRemain -= u.MemBytes
-		run = append(run, r.task)
+		s.remain[host.CPU] -= u.AvgCPUs
+		s.mem -= u.MemBytes
+		run = append(run, t)
 
-		if saturated(remain, in.Hardware) {
+		if saturated(s.remain, in.Hardware) {
 			return run, true
 		}
 	}

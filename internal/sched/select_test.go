@@ -14,7 +14,26 @@ import (
 // runnable task, stable-sort the whole list, then scan it. Enforcer's
 // top-k selection must reproduce its Decision.Run exactly.
 func referenceEnforce(in Input) []*job.Task {
-	var ranks []rank
+	type refRank struct {
+		task       *job.Task
+		class      int
+		key        float64
+		running    bool
+		receivedAt float64
+	}
+	less := func(a, b refRank) bool {
+		if a.class != b.class {
+			return a.class < b.class
+		}
+		if a.key != b.key {
+			return a.key < b.key
+		}
+		if a.running != b.running {
+			return a.running
+		}
+		return a.receivedAt < b.receivedAt
+	}
+	var ranks []refRank
 	for _, t := range in.Tasks {
 		if t.Finished() || t.State == job.Downloading {
 			continue
@@ -23,7 +42,7 @@ func referenceEnforce(in Input) []*job.Task {
 		if isGPU && !in.GPUAllowed {
 			continue
 		}
-		r := rank{task: t, running: t.State == job.Running, receivedAt: t.ReceivedAt}
+		r := refRank{task: t, running: t.State == job.Running, receivedAt: t.ReceivedAt}
 		endangered := in.Policy.UsesDeadlines() && in.Endangered != nil && in.Endangered(t)
 		switch {
 		case t.State == job.Running && t.SinceCheckpoint() > 0 && !t.CheckpointedSinceStart():
@@ -49,7 +68,15 @@ func referenceEnforce(in Input) []*job.Task {
 		}
 		ranks = append(ranks, r)
 	}
-	slices.SortStableFunc(ranks, cmpRank)
+	slices.SortStableFunc(ranks, func(a, b refRank) int {
+		switch {
+		case less(a, b):
+			return -1
+		case less(b, a):
+			return 1
+		}
+		return 0
+	})
 
 	var remain [host.NumProcTypes]float64
 	for t := host.ProcType(0); t < host.NumProcTypes; t++ {
@@ -139,16 +166,54 @@ func randomQueue(rng *rand.Rand, n int, gpus, memHeavy, thin bool) []*job.Task {
 	return tasks
 }
 
+// enforcePath names the route a pass took through Enforce: it stopped
+// inside the selection buffer, or continued over the fit-filtered
+// dropped ranks.
+func enforcePath(e *Enforcer, in *Input) string {
+	top := e.top[:min(len(e.ranks), topK)]
+	sc := newScan(in)
+	if _, full := sc.scan(in, top, nil); full || len(e.ranks) == len(top) {
+		return "direct"
+	}
+	return "filtered"
+}
+
 // TestEnforceMatchesFullSort differentially checks the top-k selection
 // against the frozen full-sort scheduler over random queues of 0–1000
 // tasks, every policy, GPU on and off, and memory limits and fractional
-// jobs that force the fallback. One Enforcer serves every case, so a
-// pass that leaked state from its scratch into the next would diverge.
-// Both paths must be taken.
+// jobs that force the fallback. GPU hosts holding CPU-only queues never
+// saturate their GPUs, so every deep pass on them falls back. One
+// Enforcer serves every case, so a pass that leaked state from its
+// scratch into the next would diverge. Both routes must be taken.
 func TestEnforceMatchesFullSort(t *testing.T) {
 	var e Enforcer
-	fallbacks, direct := 0, 0
+	paths := map[string]int{}
+	check := func(what string, in Input) {
+		t.Helper()
+		want := referenceEnforce(in)
+		got := e.Enforce(in).Run
+		paths[enforcePath(&e, &in)]++
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s (%d tasks, %v): got %v, want %v",
+				what, len(in.Tasks), in.Policy, names(Decision{Run: got}), names(Decision{Run: want}))
+		}
+	}
 	policies := []Policy{JSLocal, JSGlobal, JSWRR, JSLLF}
+	randomInput := func(rng *rand.Rand, tasks []*job.Task, hw *host.Hardware) Input {
+		prio := make([]float64, 4)
+		for p := range prio {
+			prio[p] = float64(rng.Intn(3))
+		}
+		return Input{
+			Policy:     policies[rng.Intn(len(policies))],
+			Hardware:   hw,
+			Now:        float64(rng.Intn(3)) * 100,
+			Tasks:      tasks,
+			Endangered: func(t *job.Task) bool { return t.DeadlineFlagged },
+			Prio:       func(p int, _ host.ProcType) float64 { return prio[p] },
+			GPUAllowed: rng.Intn(3) != 0,
+		}
+	}
 	for seed := int64(0); seed < 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(40)
@@ -157,37 +222,18 @@ func TestEnforceMatchesFullSort(t *testing.T) {
 		}
 		gpus, memHeavy, thin := rng.Intn(2) == 0, rng.Intn(4) == 0, rng.Intn(6) == 0
 		tasks := randomQueue(rng, n, gpus, memHeavy, thin)
-		prio := make([]float64, 4)
-		for p := range prio {
-			prio[p] = float64(rng.Intn(3))
-		}
-		in := Input{
-			Policy:     policies[rng.Intn(len(policies))],
-			Hardware:   hwMixed(1+rng.Intn(8), rng.Intn(3)),
-			Now:        float64(rng.Intn(3)) * 100,
-			Tasks:      tasks,
-			Endangered: func(t *job.Task) bool { return t.DeadlineFlagged },
-			Prio:       func(p int, _ host.ProcType) float64 { return prio[p] },
-			GPUAllowed: rng.Intn(3) != 0,
-		}
+		in := randomInput(rng, tasks, hwMixed(1+rng.Intn(8), rng.Intn(3)))
 		if memHeavy {
 			in.MaxMemBytes = 4e9
 		}
-
-		want := referenceEnforce(in)
-		got := e.Enforce(in).Run
-		// The pass fell back iff scanning the selection buffer alone
-		// left the host unsaturated while ranks were dropped.
-		top := e.top[:min(len(e.ranks), topK)]
-		if _, full := scan(&in, top, nil); !full && len(e.ranks) > len(top) {
-			fallbacks++
-		} else {
-			direct++
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("seed %d (%d tasks, %v): got %v, want %v",
-				seed, n, in.Policy, names(Decision{Run: got}), names(Decision{Run: want}))
-		}
+		check(fmt.Sprint("seed ", seed), in)
+	}
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(1000 + seed))
+		// A GPU host with a deep CPU-only queue.
+		tasks := randomQueue(rng, 50+rng.Intn(950), false, rng.Intn(3) == 0, false)
+		check(fmt.Sprint("CPU-only queue on a GPU host, seed ", seed),
+			randomInput(rng, tasks, hwMixed(1+rng.Intn(8), 1+rng.Intn(2))))
 	}
 	// Fully tied queues whose scan ends right around the buffer's
 	// last slot: only stability picks which equal task fills it.
@@ -197,17 +243,14 @@ func TestEnforceMatchesFullSort(t *testing.T) {
 			tasks[i] = cpuTask(0, fmt.Sprint("tie", i))
 			tasks[i].Usage.AvgCPUs = 0.25
 		}
-		in := Input{
+		check(fmt.Sprint("tied queue on ", ncpu, " CPUs"), Input{
 			Policy: JSLocal, Hardware: hwCPU(ncpu), Tasks: tasks,
 			Endangered: noEndangered, Prio: flatPrio, GPUAllowed: true,
-		}
-		if got, want := e.Enforce(in).Run, referenceEnforce(in); !slices.Equal(got, want) {
-			t.Fatalf("tied queue on %d CPUs: got %v, want %v", ncpu, names(Decision{Run: got}), names(Decision{Run: want}))
-		}
+		})
 	}
-	t.Logf("%d passes fell back to the full sort, %d did not", fallbacks, direct)
-	if fallbacks == 0 || direct == 0 {
-		t.Fatalf("paths not both exercised: %d fallbacks, %d direct", fallbacks, direct)
+	t.Logf("routes taken: %v", paths)
+	if paths["direct"] == 0 || paths["filtered"] == 0 {
+		t.Fatalf("routes not both exercised: %v", paths)
 	}
 }
 

@@ -16,40 +16,58 @@ import (
 // RNG is a deterministic random stream. Distinct model components should
 // use distinct streams (see Fork) so adding draws to one component does
 // not perturb another.
+//
+// The stream's source is built on the first draw, not at construction:
+// a math/rand source is about 5 KB plus a 607-word seeding, and many
+// forks (a project that is never down, an availability channel that is
+// always on) are never drawn from. Always hold an RNG by pointer: a
+// copy made before the first draw would build its own source and repeat
+// the stream instead of continuing it.
 type RNG struct {
-	r *rand.Rand
+	r    *rand.Rand // nil until the first draw
+	seed int64
 }
 
 // NewRNG returns a stream seeded with seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	return &RNG{seed: seed}
+}
+
+// src returns the stream's source, building it on first use.
+func (g *RNG) src() *rand.Rand {
+	if g.r == nil {
+		g.r = rand.New(rand.NewSource(g.seed))
+	}
+	return g.r
 }
 
 // Fork derives an independent child stream; the label keeps children
 // with different purposes decorrelated even with equal parent state.
+// The child's seed is drawn from the parent now, so the parent's stream
+// does not depend on whether, or when, the child is drawn from.
 func (g *RNG) Fork(label string) *RNG {
 	h := int64(14695981039346656037 & 0x7fffffffffffffff)
 	for _, c := range label {
 		h = (h ^ int64(c)) * 1099511628211
 	}
-	return NewRNG(g.r.Int63() ^ h)
+	return NewRNG(g.src().Int63() ^ h)
 }
 
 // Float64 returns a uniform draw in [0,1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
+func (g *RNG) Float64() float64 { return g.src().Float64() }
 
 // Intn returns a uniform draw in [0,n).
-func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
+func (g *RNG) Intn(n int) int { return g.src().Intn(n) }
 
 // Uniform returns a uniform draw in [lo,hi).
 func (g *RNG) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*g.r.Float64()
+	return lo + (hi-lo)*g.src().Float64()
 }
 
 // Normal returns a normal draw with the given mean and standard
 // deviation.
 func (g *RNG) Normal(mean, stdev float64) float64 {
-	return mean + stdev*g.r.NormFloat64()
+	return mean + stdev*g.src().NormFloat64()
 }
 
 // TruncNormal returns a normal draw truncated (by resampling, then
@@ -74,7 +92,7 @@ func (g *RNG) Exp(mean float64) float64 {
 	if mean <= 0 {
 		return 0
 	}
-	return g.r.ExpFloat64() * mean
+	return g.src().ExpFloat64() * mean
 }
 
 // Lognormal returns exp(N(mu, sigma)). Runtime estimate errors are
@@ -84,7 +102,7 @@ func (g *RNG) Lognormal(mu, sigma float64) float64 {
 }
 
 // Perm returns a random permutation of [0,n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
+func (g *RNG) Perm(n int) []int { return g.src().Perm(n) }
 
 // Mean is an online mean/variance accumulator. It keeps the exact sum
 // and exact sum of squares of its samples as non-overlapping float64
